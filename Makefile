@@ -42,11 +42,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzArrivalStream -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzReqQueue -fuzztime=$(FUZZTIME) ./internal/experiment/
 
-# chaos runs the guardrail and fleet soaks the way CI does: every
-# scenario, the default seed counts, guardrails armed. CHAOS_FLAGS
-# passes extra cashsim flags through (CI shrinks the seed counts with
-# it; locally e.g. CHAOS_FLAGS='-chaos-seeds 50 -fleet-seeds 10' for a
-# longer hunt, or '-fleet-journal-dir /tmp/fleet' to keep the journals).
+# chaos runs the three chaos soaks — guardrail, fleet and cashd — the
+# way CI does: every scenario, the default seed counts, guardrails
+# armed. CHAOS_FLAGS passes extra cashsim flags through (CI shrinks the
+# seed counts with it; locally e.g. CHAOS_FLAGS='-chaos-seeds 50
+# -fleet-seeds 10 -daemon-seeds 4' for a longer hunt, or
+# '-fleet-journal-dir /tmp/fleet' to keep the journals).
 CHAOS_FLAGS ?=
 
 chaos: build

@@ -49,6 +49,7 @@ import (
 	"cash/internal/oracle"
 	"cash/internal/par"
 	"cash/internal/slice"
+	"cash/internal/soak"
 	"cash/internal/ssim"
 	"cash/internal/supervise"
 	"cash/internal/vcore"
@@ -145,10 +146,12 @@ type (
 	GuardStats = guard.Stats
 	// ChaosOptions configure the chaos soak harness.
 	ChaosOptions = chaos.Options
-	// ChaosReport is a completed soak with per-seed outcomes.
-	ChaosReport = chaos.Report
-	// ChaosSeedResult is one (scenario, seed) run of the soak.
-	ChaosSeedResult = chaos.SeedResult
+	// SoakReport is a completed chaos soak (guardrail, fleet or cashd;
+	// all three share one driver): every (scenario, seed) run in
+	// canonical order with its digest, violations, replay verdict and
+	// the soak's own counters C (GuardStats, FleetResult or
+	// DaemonSoakCounters).
+	SoakReport[C any] = soak.Report[C]
 )
 
 // Fleet control-plane types (robustness study). A fleet is N simulated
@@ -168,8 +171,6 @@ type (
 	FleetWork = fleet.Work
 	// FleetSoakOptions configure the fleet chaos soak.
 	FleetSoakOptions = fleet.SoakOptions
-	// FleetSoakReport is a completed fleet soak.
-	FleetSoakReport = fleet.SoakReport
 	// ChipFaultSchedule is a deterministic list of chip-level fault
 	// events (crashes, hangs, heartbeat loss).
 	ChipFaultSchedule = fault.ChipSchedule
@@ -185,7 +186,7 @@ func RunFleet(opts FleetOptions) (FleetResult, error) { return fleet.Run(opts) }
 // heartbeat partitions across many seeds, asserting completion,
 // exactly-once delivery, budget reconciliation and byte-identical
 // replay on every run.
-func RunFleetSoak(opts FleetSoakOptions) (FleetSoakReport, error) { return fleet.Soak(opts) }
+func RunFleetSoak(opts FleetSoakOptions) (SoakReport[FleetResult], error) { return fleet.Soak(opts) }
 
 // FleetSoakScenarios lists the fleet soak's built-in scenario names.
 func FleetSoakScenarios() []string { return fleet.SoakScenarios() }
@@ -217,8 +218,9 @@ type (
 	DaemonClientOptions = client.Options
 	// DaemonSoakOptions configure the daemon chaos soak.
 	DaemonSoakOptions = daemonsoak.Options
-	// DaemonSoakReport is a completed daemon chaos soak.
-	DaemonSoakReport = daemonsoak.Report
+	// DaemonSoakCounters are one daemon soak seed's kills, cells landed
+	// and nanodollars reconciled.
+	DaemonSoakCounters = daemonsoak.Counters
 	// WireFaultSpec parameterises deterministic wire-level fault
 	// injection (drop/delay/duplicate/truncate/reorder).
 	WireFaultSpec = fault.WireSpec
@@ -235,7 +237,9 @@ func DialDaemon(opts DaemonClientOptions) (*DaemonClient, error) { return client
 // kill -9 + restart cycles on a shared journal, exactly-once tenant
 // execution, nanodollar-exact spend reconciliation and digest-identical
 // replay.
-func RunDaemonSoak(opts DaemonSoakOptions) (DaemonSoakReport, error) { return daemonsoak.Run(opts) }
+func RunDaemonSoak(opts DaemonSoakOptions) (SoakReport[DaemonSoakCounters], error) {
+	return daemonsoak.Run(opts)
+}
 
 // DefaultDaemonSocketPath returns the conventional cashd socket
 // location ($CASHD_SOCKET, else the user cache directory).
@@ -254,7 +258,7 @@ func DefaultWireFaultSpec(seed uint64) WireFaultSpec { return fault.DefaultWireS
 // and deliberate runtime-state corruption across many seeds, asserting
 // no panics, no NaN in runtime state, breaker-bounded QoS-violation
 // streaks and byte-identical replay per seed.
-func RunChaos(opts ChaosOptions) (ChaosReport, error) { return chaos.Run(opts) }
+func RunChaos(opts ChaosOptions) (SoakReport[GuardStats], error) { return chaos.Run(opts) }
 
 // ChaosScenarios lists the soak's built-in scenario names.
 func ChaosScenarios() []string { return chaos.Scenarios() }

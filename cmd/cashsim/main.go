@@ -128,7 +128,7 @@ func main() {
 	chips := flag.Int("chips", 0, "fleet study: simulated chips (0 = default, 6)")
 	tenants := flag.Int("tenants", 0, "fleet study: admitted tenants (0 = default, 6)")
 	kill := flag.Int("kill", 0, "fleet study: chips the crash-K scenario kills (0 = default, 2)")
-	chaosMode := flag.Bool("chaos", false, "run the chaos soaks (guardrail + fleet) instead of an artifact")
+	chaosMode := flag.Bool("chaos", false, "run the chaos soaks (guardrail, fleet and cashd) instead of an artifact")
 	chaosSeeds := flag.Int("chaos-seeds", 20, "chaos soak: seeds per scenario (must be positive)")
 	chaosQuanta := flag.Int("chaos-quanta", 0, "chaos soak: control quanta per run (0 = default)")
 	chaosGuard := flag.Bool("chaos-guard", true, "chaos soak: arm the guardrails (false = hazard baseline)")
@@ -239,51 +239,24 @@ func main() {
 
 	if *chaosMode {
 		start := time.Now()
-		rep, err := cash.RunChaos(cash.ChaosOptions{
-			Seeds: *chaosSeeds, Quanta: *chaosQuanta, Guardrails: *chaosGuard,
-		})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprint(w, rep.Summary())
-		for _, r := range rep.Results {
-			if len(r.Violations) == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "  FAIL %s seed %d: %v\n", r.Scenario, r.Seed, r.Violations)
-		}
-		passed := !*chaosGuard || rep.Passed()
+		// With the guardrails off the guardrail soak is the hazard
+		// baseline: expected to fail, so it does not gate.
+		soaks := []chaosSoak{{gate: *chaosGuard, run: func(string) (soakReport, error) {
+			return cash.RunChaos(cash.ChaosOptions{Seeds: *chaosSeeds, Quanta: *chaosQuanta, Guardrails: *chaosGuard})
+		}}}
 		if *fleetSeeds > 0 {
-			frep, err := cash.RunFleetSoak(cash.FleetSoakOptions{
-				Seeds: *fleetSeeds, JournalDir: *fleetJournalDir,
-			})
-			if err != nil {
-				fail(err)
-			}
-			fmt.Fprint(w, frep.Summary())
-			for _, r := range frep.Runs {
-				for _, v := range r.Violations {
-					fmt.Fprintf(w, "  FAIL %s seed %d: %s\n", r.Scenario, r.Seed, v)
-				}
-			}
-			passed = passed && frep.Passed()
+			soaks = append(soaks, chaosSoak{gate: true, run: func(string) (soakReport, error) {
+				return cash.RunFleetSoak(cash.FleetSoakOptions{Seeds: *fleetSeeds, JournalDir: *fleetJournalDir})
+			}})
 		}
 		if *daemonSeeds > 0 {
-			dir, err := os.MkdirTemp("", "cashd-soak-*")
-			if err != nil {
-				fail(err)
-			}
-			defer os.RemoveAll(dir)
-			drep, err := cash.RunDaemonSoak(cash.DaemonSoakOptions{
-				Seeds: *daemonSeeds, Kills: *daemonKills, Dir: dir,
-			})
-			if err != nil {
-				fmt.Fprintf(w, "daemon soak: FAIL: %v\n", err)
-				passed = false
-			} else {
-				fmt.Fprintf(w, "daemon soak: %d seeds, %d kills, %d cells exactly-once, %d nanos reconciled, replay digests identical\n",
-					drep.Seeds, drep.Kills, drep.CellsLanded, drep.ConsumedNanos)
-			}
+			soaks = append(soaks, chaosSoak{gate: true, run: func(scratch string) (soakReport, error) {
+				return cash.RunDaemonSoak(cash.DaemonSoakOptions{Seeds: *daemonSeeds, Kills: *daemonKills, Dir: scratch})
+			}})
+		}
+		passed, err := runChaos(w, soaks)
+		if err != nil {
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "cashsim: chaos soak done in %v\n", time.Since(start).Round(time.Millisecond))
 		stopProf()
@@ -311,6 +284,40 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "cashsim: %s done in %v\n", flag.Arg(0), time.Since(start).Round(time.Millisecond))
 	stopProf()
+}
+
+// soakReport is what -chaos prints and gates on from each soak.
+type soakReport interface {
+	Text() string
+	Passed() bool
+}
+
+// chaosSoak is one soak -chaos runs. run gets a scratch directory that
+// outlives the call; gate says whether the soak's failures fail -chaos.
+type chaosSoak struct {
+	run  func(scratch string) (soakReport, error)
+	gate bool
+}
+
+// runChaos runs every soak in order, printing each report to w, and
+// reports whether every gated soak passed. The soaks' scratch directory
+// is removed on every path, so main may os.Exit on the result.
+func runChaos(w io.Writer, soaks []chaosSoak) (bool, error) {
+	scratch, err := os.MkdirTemp("", "cashd-soak-*")
+	if err != nil {
+		return false, err
+	}
+	defer os.RemoveAll(scratch)
+	passed := true
+	for _, s := range soaks {
+		rep, err := s.run(scratch)
+		if err != nil {
+			return false, err
+		}
+		fmt.Fprint(w, rep.Text())
+		passed = passed && (!s.gate || rep.Passed())
+	}
+	return passed, nil
 }
 
 // flagValues collects the parsed flags that validateFlags cross-checks,

@@ -119,3 +119,50 @@ func TestValidateFlagsDaemonRulesIgnoredOutsideDaemonModes(t *testing.T) {
 		t.Fatalf("-kill flagged as a daemon knob outside -chaos: %v", err)
 	}
 }
+
+// failingReport is a soak report that always fails.
+type failingReport struct{}
+
+func (failingReport) Text() string { return "fake soak: 1 runs, 1 failures\n" }
+func (failingReport) Passed() bool { return false }
+
+// TestRunChaosRemovesScratchOnFailure: a failing soak makes main exit
+// non-zero, which skips defers — so runChaos must have removed the
+// soaks' scratch directory before it returns.
+func TestRunChaosRemovesScratchOnFailure(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	var scratch string
+	failing := chaosSoak{gate: true, run: func(dir string) (soakReport, error) {
+		scratch = dir
+		if _, err := os.Stat(dir); err != nil {
+			t.Errorf("scratch dir missing during the soak: %v", err)
+		}
+		return failingReport{}, nil
+	}}
+	var out strings.Builder
+	passed, err := runChaos(&out, []chaosSoak{failing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if passed {
+		t.Fatal("a failing gated soak passed -chaos")
+	}
+	if !strings.HasPrefix(scratch, tmp) || !strings.Contains(out.String(), "1 failures") {
+		t.Fatalf("soak ran in %q (want under %q), printed %q", scratch, tmp, out.String())
+	}
+	left, err := filepath.Glob(filepath.Join(tmp, "cashd-soak-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("scratch directories left behind: %v", left)
+	}
+
+	// An ungated soak (the guardrails-off baseline) may fail without
+	// failing -chaos.
+	failing.gate = false
+	if passed, err := runChaos(&out, []chaosSoak{failing}); err != nil || !passed {
+		t.Fatalf("ungated failure: passed=%v err=%v, want pass", passed, err)
+	}
+}

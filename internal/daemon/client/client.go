@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"cash/internal/backoff"
 	"cash/internal/daemon"
 	"cash/internal/supervise"
 )
@@ -141,15 +142,9 @@ func (c *Client) nextJitter() float64 {
 // exponential from BaseBackoff, scaled by a jitter in [0.5, 1.0] so
 // retrying clients decorrelate, floored by the server's hint.
 func (c *Client) backoff(attempt int, hintMs int64) time.Duration {
-	d := c.opts.BaseBackoff << uint(attempt-1)
-	if d > c.opts.MaxBackoff || d <= 0 {
-		d = c.opts.MaxBackoff
-	}
+	d := backoff.Exp(c.opts.BaseBackoff, c.opts.MaxBackoff, attempt)
 	d = time.Duration(float64(d) * (0.5 + 0.5*c.nextJitter()))
-	if hint := time.Duration(hintMs) * time.Millisecond; hint > d {
-		d = hint
-	}
-	return d
+	return max(d, time.Duration(hintMs)*time.Millisecond)
 }
 
 func (c *Client) logf(format string, args ...any) {

@@ -2,7 +2,8 @@
 // daemon through repeated kill -9 + restart cycles with the retrying
 // client and audits the wreckage — every cell executed exactly once,
 // every nanodollar reconciled, and a clean replay of the same seed
-// reaching the identical state digest.
+// reaching the identical state digest (checked by the shared driver in
+// internal/soak).
 package soak
 
 import (
@@ -16,6 +17,8 @@ import (
 	"cash/internal/daemon/client"
 	"cash/internal/fault"
 	"cash/internal/fleet"
+	"cash/internal/par"
+	driver "cash/internal/soak"
 )
 
 // Options configure the daemon chaos soak: for each seed, a daemon
@@ -35,7 +38,7 @@ type Options struct {
 	// Epoch overrides the daemon tick interval (default 2ms — fast
 	// enough to finish, slow enough that kills land mid-execution).
 	Epoch time.Duration
-	// Log, when non-nil, receives progress lines.
+	// Log, when non-nil, receives the daemons' progress lines.
 	Log io.Writer
 }
 
@@ -58,60 +61,63 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Report aggregates a soak run.
-type Report struct {
-	Seeds         int
+// Counters are one seed's evidence: the chaos run's kills, the cells
+// it landed exactly once and the nanodollars it reconciled.
+type Counters struct {
 	Kills         int
 	CellsLanded   int
 	ConsumedNanos int64
-	// Digests holds each scenario's final state digest; the replay
-	// check already proved each matches its clean re-run.
-	Digests []string
 }
 
-// Run executes the daemon chaos soak and fails on the first violation
-// of exactly-once execution, spend reconciliation or replay
-// determinism.
+// Report is a completed daemon soak; each run's Digest is the daemon's
+// final state digest.
+type Report = driver.Report[Counters]
+
+// scenario is the soak's one scenario: seeded wire faults plus Kills
+// kill + restart cycles.
+type scenario struct{}
+
+func (scenario) Name() string { return "kill-restart" }
+
+// Run executes the daemon chaos soak. Each seed runs under chaos, then
+// replays on a fresh journal with a clean wire and no kills: the digest
+// is a pure function of what was submitted, so however violently the
+// chaos run got there, the two must agree bit for bit. Seeds run one at
+// a time; a bad seed is reported and the soak moves on.
 func Run(opts Options) (Report, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
 		return Report{}, fmt.Errorf("soak: needs a scratch directory")
 	}
-	if opts.Seeds < 0 || opts.Kills < 0 || opts.Tenants <= 0 || opts.CellsPerTenant <= 0 {
+	if opts.Kills < 0 || opts.Tenants <= 0 || opts.CellsPerTenant <= 0 {
 		return Report{}, fmt.Errorf("soak: invalid shape %+v", opts)
 	}
-	report := Report{Seeds: opts.Seeds}
-	for s := 0; s < opts.Seeds; s++ {
-		seed := uint64(1000 + 17*s)
-		digest, landed, consumed, kills, err := runScenario(opts, s, seed, true)
-		if err != nil {
-			return report, fmt.Errorf("seed %d (chaos): %w", seed, err)
-		}
-		report.Kills += kills
-		report.CellsLanded += landed
-		report.ConsumedNanos += consumed
-
-		// Replay: the same tenants on a fresh journal with a clean wire
-		// and no kills. The digest is a pure function of what was
-		// submitted, so however violently the chaos run got there, the
-		// two must agree bit for bit.
-		replay, _, replayConsumed, _, err := runScenario(opts, s, seed, false)
-		if err != nil {
-			return report, fmt.Errorf("seed %d (replay): %w", seed, err)
-		}
-		if replay != digest {
-			return report, fmt.Errorf("seed %d: chaos digest %s != replay digest %s", seed, digest, replay)
-		}
-		if replayConsumed != consumed {
-			return report, fmt.Errorf("seed %d: chaos consumed %d != replay consumed %d", seed, consumed, replayConsumed)
-		}
-		report.Digests = append(report.Digests, digest)
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "daemon-soak: seed %d ok: %d cells, %d nanos, %d kills, digest %s\n",
-				seed, landed, consumed, kills, digest)
-		}
-	}
-	return report, nil
+	return driver.Drive(driver.Spec[scenario, Counters]{
+		Name:      "daemon soak",
+		Title:     "daemon soak: ",
+		Scenarios: []scenario{{}},
+		Seeds:     opts.Seeds,
+		Seed:      func(i int) uint64 { return uint64(1000 + 17*i) },
+		Pool:      par.Serial(),
+		Run: func(_ scenario, seed uint64, replay bool) (out driver.Outcome[Counters]) {
+			var err error
+			if out.Counters, out.Digest, err = runScenario(opts, seed, !replay); err != nil {
+				out.Violations = []string{err.Error()}
+			}
+			return out
+		},
+		NameWidth: 14,
+		Columns: func(runs []driver.Run[Counters]) string {
+			var sum Counters
+			for _, r := range runs {
+				sum.Kills += r.Counters.Kills
+				sum.CellsLanded += r.Counters.CellsLanded
+				sum.ConsumedNanos += r.Counters.ConsumedNanos
+			}
+			return fmt.Sprintf(", %d kills, %d cells exactly-once, %d nanos reconciled",
+				sum.Kills, sum.CellsLanded, sum.ConsumedNanos)
+		},
+	})
 }
 
 func dial(socket string, seed uint64) (*client.Client, error) {
@@ -125,18 +131,17 @@ func dial(socket string, seed uint64) (*client.Client, error) {
 	})
 }
 
-// runScenario runs one seeded scenario to completion and returns the
-// final digest, cells landed, nanodollars consumed and kills executed.
-// With chaos true the wire injects faults and the daemon is killed and
-// restarted opts.Kills times; with chaos false the run is clean (the
-// replay baseline).
-func runScenario(opts Options, idx int, seed uint64, chaos bool) (digest string, landed int, consumed int64, kills int, err error) {
+// runScenario runs one seeded scenario to completion and returns its
+// counters and final digest. With chaos true the wire injects faults
+// and the daemon is killed and restarted opts.Kills times; with chaos
+// false the run is clean (the replay baseline).
+func runScenario(opts Options, seed uint64, chaos bool) (c Counters, digest string, err error) {
 	suffix := "replay"
 	if chaos {
 		suffix = "chaos"
 	}
-	socket := filepath.Join(opts.Dir, fmt.Sprintf("cashd-%d-%s.sock", idx, suffix))
-	journal := filepath.Join(opts.Dir, fmt.Sprintf("cashd-%d-%s.jsonl", idx, suffix))
+	socket := filepath.Join(opts.Dir, fmt.Sprintf("cashd-%d-%s.sock", seed, suffix))
+	journal := filepath.Join(opts.Dir, fmt.Sprintf("cashd-%d-%s.jsonl", seed, suffix))
 	dopts := daemon.Options{
 		Socket:       socket,
 		Journal:      journal,
@@ -150,13 +155,13 @@ func runScenario(opts Options, idx int, seed uint64, chaos bool) (digest string,
 	}
 	srv, err := daemon.Start(dopts)
 	if err != nil {
-		return "", 0, 0, 0, err
+		return c, "", err
 	}
 	defer func() { srv.Kill() }() // no-op after a clean drain
 
 	cl, err := dial(socket, seed)
 	if err != nil {
-		return "", 0, 0, 0, err
+		return c, "", err
 	}
 	defer cl.Close()
 
@@ -173,16 +178,16 @@ func runScenario(opts Options, idx int, seed uint64, chaos bool) (digest string,
 		want += daemon.ExpectedSpend(specs[t], cost.Model{})
 		idem := fmt.Sprintf("seed-%d-tenant-%d", seed, t)
 		if _, err := cl.Submit(idem, specs[t]); err != nil {
-			return "", 0, 0, 0, fmt.Errorf("submit %s: %w", specs[t].Name, err)
+			return c, "", fmt.Errorf("submit %s: %w", specs[t].Name, err)
 		}
 		// Duplicate submit under the same key must ack as a replay, not
 		// double-admit.
 		ack, err := cl.Submit(idem, specs[t])
 		if err != nil {
-			return "", 0, 0, 0, fmt.Errorf("duplicate submit %s: %w", specs[t].Name, err)
+			return c, "", fmt.Errorf("duplicate submit %s: %w", specs[t].Name, err)
 		}
 		if !ack.Resubmitted {
-			return "", 0, 0, 0, fmt.Errorf("duplicate submit %s not marked resubmitted", specs[t].Name)
+			return c, "", fmt.Errorf("duplicate submit %s not marked resubmitted", specs[t].Name)
 		}
 	}
 
@@ -191,10 +196,7 @@ func runScenario(opts Options, idx int, seed uint64, chaos bool) (digest string,
 	// wedges a client. It stops on the drain's Final event or when the
 	// scenario signals it to.
 	stop := make(chan struct{})
-	watchDone := make(chan int, 1)
 	go func() {
-		events := 0
-		defer func() { watchDone <- events }()
 		for {
 			select {
 			case <-stop:
@@ -205,10 +207,7 @@ func runScenario(opts Options, idx int, seed uint64, chaos bool) (digest string,
 			if werr != nil {
 				return
 			}
-			werr = wcl.Watch(2*time.Second, func(ev daemon.Epoch) bool {
-				events++
-				return !ev.Final
-			})
+			werr = wcl.Watch(2*time.Second, func(ev daemon.Epoch) bool { return !ev.Final })
 			wcl.Close()
 			if werr == nil {
 				return // Final seen or handler stopped
@@ -223,23 +222,23 @@ func runScenario(opts Options, idx int, seed uint64, chaos bool) (digest string,
 		for k := 0; k < opts.Kills; k++ {
 			// Let some cells land, then kill mid-execution.
 			if _, err := waitProgress(cl, (k+1)*totalCells/(opts.Kills+2)); err != nil {
-				return "", 0, 0, kills, fmt.Errorf("pre-kill %d: %w", k+1, err)
+				return c, "", fmt.Errorf("pre-kill %d: %w", k+1, err)
 			}
 			srv.Kill()
-			kills++
+			c.Kills++
 			srv, err = daemon.Start(dopts)
 			if err != nil {
-				return "", 0, 0, kills, fmt.Errorf("restart %d: %w", k+1, err)
+				return c, "", fmt.Errorf("restart %d: %w", k+1, err)
 			}
 			// Resubmitting after a crash must still dedup: the journal,
 			// not process memory, is the source of truth.
 			idem := fmt.Sprintf("seed-%d-tenant-%d", seed, 0)
 			ack, aerr := cl.Submit(idem, specs[0])
 			if aerr != nil {
-				return "", 0, 0, kills, fmt.Errorf("post-restart resubmit: %w", aerr)
+				return c, "", fmt.Errorf("post-restart resubmit: %w", aerr)
 			}
 			if !ack.Resubmitted {
-				return "", 0, 0, kills, fmt.Errorf("restart %d lost submit %s", k+1, idem)
+				return c, "", fmt.Errorf("restart %d lost submit %s", k+1, idem)
 			}
 		}
 	}
@@ -247,14 +246,14 @@ func runScenario(opts Options, idx int, seed uint64, chaos bool) (digest string,
 	// Wait for every cell to land, then audit.
 	health, err := waitProgress(cl, totalCells)
 	if err != nil {
-		return "", 0, 0, kills, err
+		return c, "", err
 	}
 	if health.CellsLanded != totalCells || health.CellsTotal != totalCells {
-		return "", 0, 0, kills, fmt.Errorf("landed %d/%d of %d cells",
+		return c, "", fmt.Errorf("landed %d/%d of %d cells",
 			health.CellsLanded, health.CellsTotal, totalCells)
 	}
 	if health.Tenants != opts.Tenants {
-		return "", 0, 0, kills, fmt.Errorf("admitted %d tenants, want %d (duplicate admission?)",
+		return c, "", fmt.Errorf("admitted %d tenants, want %d (duplicate admission?)",
 			health.Tenants, opts.Tenants)
 	}
 
@@ -262,35 +261,41 @@ func runScenario(opts Options, idx int, seed uint64, chaos bool) (digest string,
 	// exactly its computed price, nothing outstanding, books balanced.
 	spend, err := cl.Spend()
 	if err != nil {
-		return "", 0, 0, kills, err
+		return c, "", err
 	}
 	var total fleet.Nanos
 	for i, ts := range spend.Tenants {
 		exp := daemon.ExpectedSpend(specs[i], cost.Model{})
 		if fleet.Nanos(ts.Consumed) != exp {
-			return "", 0, 0, kills, fmt.Errorf("tenant %s consumed %d nanos, want %d", ts.Name, ts.Consumed, exp)
+			return c, "", fmt.Errorf("tenant %s consumed %d nanos, want %d", ts.Name, ts.Consumed, exp)
 		}
 		if ts.Outstanding != 0 {
-			return "", 0, 0, kills, fmt.Errorf("tenant %s has %d nanos outstanding after completion", ts.Name, ts.Outstanding)
+			return c, "", fmt.Errorf("tenant %s has %d nanos outstanding after completion", ts.Name, ts.Outstanding)
 		}
 		if ts.Granted != ts.Consumed+ts.Refunded {
-			return "", 0, 0, kills, fmt.Errorf("tenant %s books unbalanced: granted %d != consumed %d + refunded %d",
+			return c, "", fmt.Errorf("tenant %s books unbalanced: granted %d != consumed %d + refunded %d",
 				ts.Name, ts.Granted, ts.Consumed, ts.Refunded)
 		}
 		total += fleet.Nanos(ts.Consumed)
 	}
 	if total != want || fleet.Nanos(spend.RootConsumed) != want {
-		return "", 0, 0, kills, fmt.Errorf("root consumed %d nanos, want %d", spend.RootConsumed, want)
+		return c, "", fmt.Errorf("root consumed %d nanos, want %d", spend.RootConsumed, want)
+	}
+	// The reported spend is the closed-form price on both sides of the
+	// replay, so chaos and clean runs agree on it too.
+	if fleet.Nanos(health.ConsumedNanos) != want {
+		return c, "", fmt.Errorf("health reports %d nanos consumed, want %d", health.ConsumedNanos, want)
 	}
 
 	// Graceful drain: the daemon settles, compacts and exits clean.
 	if err := cl.Drain(); err != nil {
-		return "", 0, 0, kills, fmt.Errorf("drain: %w", err)
+		return c, "", fmt.Errorf("drain: %w", err)
 	}
 	if err := srv.Wait(); err != nil {
-		return "", 0, 0, kills, fmt.Errorf("daemon exited dirty: %w", err)
+		return c, "", fmt.Errorf("daemon exited dirty: %w", err)
 	}
-	return health.Digest, health.CellsLanded, health.ConsumedNanos, kills, nil
+	c.CellsLanded, c.ConsumedNanos = health.CellsLanded, health.ConsumedNanos
+	return c, health.Digest, nil
 }
 
 // waitProgress polls health until at least target cells landed,

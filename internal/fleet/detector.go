@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"time"
+
+	"cash/internal/backoff"
 )
 
 // The failure detector is heartbeat-based. Each chip is expected to
@@ -136,14 +138,7 @@ func (d *Detector) Heartbeat(chip int, now time.Time) (wasDead bool) {
 // backoff returns the capped-exponential recheck delay after the given
 // number of strikes.
 func (d *Detector) backoff(strikes int) time.Duration {
-	b := d.cfg.BackoffBase
-	for i := 1; i < strikes && b < d.cfg.BackoffCap; i++ {
-		b *= 2
-	}
-	if b > d.cfg.BackoffCap {
-		b = d.cfg.BackoffCap
-	}
-	return b
+	return backoff.Exp(d.cfg.BackoffBase, d.cfg.BackoffCap, strikes)
 }
 
 // Check advances the state machine to now and returns the chips newly

@@ -46,20 +46,6 @@ func TestDetectorConfirmsSilentChip(t *testing.T) {
 	}
 }
 
-func TestDetectorBackoffIsCapped(t *testing.T) {
-	d := NewDetector(1, DetectorConfig{
-		BackoffBase: 2 * time.Second,
-		BackoffCap:  8 * time.Second,
-		Confirm:     100, // never confirm; observe the recheck cadence
-	}, time.Unix(0, 0))
-	want := []time.Duration{2, 4, 8, 8, 8}
-	for i, w := range want {
-		if got := d.backoff(i + 1); got != w*time.Second {
-			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w*time.Second)
-		}
-	}
-}
-
 func TestDetectorFalseSuspicionClears(t *testing.T) {
 	d, clk := newTestDetector(1)
 	// Silence past the suspect timeout...

@@ -3,10 +3,10 @@ package fleet
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"cash/internal/fault"
 	"cash/internal/par"
+	"cash/internal/soak"
 	"cash/internal/supervise"
 )
 
@@ -19,7 +19,8 @@ import (
 //     however many orphaned or duplicate deliveries the failures made,
 //   - reconciled: granted = consumed + refunded at every envelope,
 //   - byte-identical replay: each (scenario, seed) runs twice and the
-//     two digests must agree bit for bit.
+//     two digests must agree bit for bit (internal/soak drives the
+//     loop and checks the replay).
 
 // SoakOptions configure a fleet soak. Zero values select the defaults
 // noted on each field.
@@ -66,61 +67,9 @@ func (o SoakOptions) withDefaults() SoakOptions {
 	return o
 }
 
-// SoakRun is one (scenario, seed) outcome.
-type SoakRun struct {
-	Scenario string
-	Seed     uint64
-	Result   Result
-	// ReplayIdentical records whether the immediate re-run reproduced
-	// the digest exactly.
-	ReplayIdentical bool
-	// Violations lists every broken invariant (empty on a clean run).
-	Violations []string
-}
-
-// SoakReport is a completed fleet soak.
-type SoakReport struct {
-	Scenarios []string
-	Runs      []SoakRun
-	Failures  int
-}
-
-// Passed reports whether every run upheld every invariant.
-func (r SoakReport) Passed() bool { return r.Failures == 0 }
-
-// Summary renders a one-line-per-scenario digest of the soak.
-func (r SoakReport) Summary() string {
-	type agg struct {
-		runs, fails    int
-		reexec, orphan int64
-	}
-	byScen := map[string]*agg{}
-	for _, res := range r.Runs {
-		a := byScen[res.Scenario]
-		if a == nil {
-			a = &agg{}
-			byScen[res.Scenario] = a
-		}
-		a.runs++
-		a.reexec += res.Result.Stats.ReExecutions
-		a.orphan += res.Result.Stats.OrphanDeliveries
-		if len(res.Violations) > 0 {
-			a.fails++
-		}
-	}
-	names := make([]string, 0, len(byScen))
-	for n := range byScen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := fmt.Sprintf("fleet soak: %d runs, %d failures\n", len(r.Runs), r.Failures)
-	for _, n := range names {
-		a := byScen[n]
-		out += fmt.Sprintf("  %-10s %3d seeds, %3d failures, %4d re-executions, %4d orphan deliveries\n",
-			n, a.runs, a.fails, a.reexec, a.orphan)
-	}
-	return out
-}
+// SoakReport is a completed fleet soak; each run's counters are the
+// first execution's full Result.
+type SoakReport = soak.Report[Result]
 
 // soakScenario builds a fault schedule for one run. killTick is chosen
 // mid-run: with ~Tenants×CellsPerTenant×meanDuration serial ticks of
@@ -131,14 +80,11 @@ type soakScenario struct {
 	sched func(o SoakOptions, seed uint64) fault.ChipSchedule
 }
 
+// Name identifies the scenario in reports and SoakOptions.Scenarios.
+func (s soakScenario) Name() string { return s.name }
+
 // SoakScenarios returns the names of all built-in fleet scenarios.
-func SoakScenarios() []string {
-	out := make([]string, len(soakScenarios))
-	for i, s := range soakScenarios {
-		out[i] = s.name
-	}
-	return out
-}
+func SoakScenarios() []string { return soak.Names(soakScenarios) }
 
 var soakScenarios = []soakScenario{
 	{name: "kill-k", sched: func(o SoakOptions, seed uint64) fault.ChipSchedule {
@@ -196,128 +142,81 @@ var AggressiveDetector = DetectorConfig{
 // Soak executes the fleet soak.
 func Soak(opts SoakOptions) (SoakReport, error) {
 	opts = opts.withDefaults()
-	if opts.Seeds < 0 {
-		return SoakReport{}, fmt.Errorf("fleet: negative soak seeds %d", opts.Seeds)
-	}
-	selected := soakScenarios
-	if len(opts.Scenarios) > 0 {
-		selected = nil
-		for _, want := range opts.Scenarios {
-			found := false
-			for _, s := range soakScenarios {
-				if s.name == want {
-					selected = append(selected, s)
-					found = true
-				}
+	return soak.Drive(soak.Spec[soakScenario, Result]{
+		Name:      "fleet",
+		Title:     "fleet soak: ",
+		Scenarios: soakScenarios,
+		Select:    opts.Scenarios,
+		Seeds:     opts.Seeds,
+		Seed:      func(i int) uint64 { return uint64(i)*0x9e3779b97f4a7c15 + 1 },
+		Pool:      opts.Pool,
+		Run:       opts.soakOne,
+		NameWidth: 10,
+		Columns: func(runs []soak.Run[Result]) string {
+			var reexec, orphan int64
+			for _, r := range runs {
+				reexec += r.Counters.Stats.ReExecutions
+				orphan += r.Counters.Stats.OrphanDeliveries
 			}
-			if !found {
-				return SoakReport{}, fmt.Errorf("fleet: unknown soak scenario %q (have %v)", want, SoakScenarios())
-			}
-		}
-	}
-	rep := SoakReport{}
-	type job struct {
-		s    soakScenario
-		seed uint64
-	}
-	jobs := make([]job, 0, len(selected)*opts.Seeds)
-	for _, s := range selected {
-		rep.Scenarios = append(rep.Scenarios, s.name)
-		for i := 0; i < opts.Seeds; i++ {
-			jobs = append(jobs, job{s: s, seed: uint64(i)*0x9e3779b97f4a7c15 + 1})
-		}
-	}
-	runs := make([]SoakRun, len(jobs))
-	par.Resolve(opts.Pool).ForEach(len(jobs), func(i int) {
-		j := jobs[i]
-		runs[i] = soakOne(j.s, j.seed, opts)
+			return fmt.Sprintf(", %4d re-executions, %4d orphan deliveries", reexec, orphan)
+		},
 	})
-	for _, res := range runs {
-		if len(res.Violations) > 0 {
-			rep.Failures++
-		}
-	}
-	rep.Runs = runs
-	return rep, nil
 }
 
-// soakOne runs one (scenario, seed) twice under a panic barrier and
-// checks every invariant.
-func soakOne(s soakScenario, seed uint64, opts SoakOptions) (run SoakRun) {
-	run = SoakRun{Scenario: s.name, Seed: seed, ReplayIdentical: true}
-	defer func() {
-		if p := recover(); p != nil {
-			run.Violations = append(run.Violations, fmt.Sprintf("panic: %v", p))
-		}
-	}()
-	build := func() Options {
-		return Options{
-			Chips:        opts.Chips,
-			SlotsPerChip: opts.SlotsPerChip,
-			// An aggressive detector (confirmation after ~4 ticks of
-			// silence) relative to 3-8 tick cells, so partitions and hangs
-			// are regularly mistaken for deaths and the orphan/duplicate
-			// paths get real traffic.
-			Detector: AggressiveDetector,
-			Work: SyntheticWork{
-				TenantCount:    opts.Tenants,
-				CellsPerTenant: opts.CellsPerTenant,
-				Seed:           seed,
-			},
-			Faults:   s.sched(opts, seed),
-			MaxTicks: 2_000,
-		}
+// soakOne runs one (scenario, seed) and checks every invariant. The
+// replay runs without the journal: the journal's dedup state is
+// external input, and the digest must not depend on it.
+func (o SoakOptions) soakOne(s soakScenario, seed uint64, replay bool) (out soak.Outcome[Result]) {
+	run := Options{
+		Chips:        o.Chips,
+		SlotsPerChip: o.SlotsPerChip,
+		// An aggressive detector (confirmation after ~4 ticks of
+		// silence) relative to 3-8 tick cells, so partitions and hangs
+		// are regularly mistaken for deaths and the orphan/duplicate
+		// paths get real traffic.
+		Detector: AggressiveDetector,
+		Work: SyntheticWork{
+			TenantCount:    o.Tenants,
+			CellsPerTenant: o.CellsPerTenant,
+			Seed:           seed,
+		},
+		Faults:   s.sched(o, seed),
+		MaxTicks: 2_000,
 	}
-
-	var journal *supervise.Journal
-	if opts.JournalDir != "" {
-		path := filepath.Join(opts.JournalDir, fmt.Sprintf("fleet-%s-%d.jsonl", s.name, seed))
-		meta := fmt.Sprintf("fleet-soak v1 %s seed=%d chips=%d", s.name, seed, opts.Chips)
+	if o.JournalDir != "" && !replay {
+		path := filepath.Join(o.JournalDir, fmt.Sprintf("fleet-%s-%d.jsonl", s.name, seed))
+		meta := fmt.Sprintf("fleet-soak v1 %s seed=%d chips=%d", s.name, seed, o.Chips)
 		j, err := supervise.OpenJournal(path, meta, false)
 		if err != nil {
-			run.Violations = append(run.Violations, fmt.Sprintf("journal open: %v", err))
-			return run
+			out.Violations = append(out.Violations, fmt.Sprintf("journal open: %v", err))
+			return out
 		}
-		journal = j
-		defer journal.Close()
+		defer j.Close()
+		run.Journal = j
 	}
 
-	first := build()
-	first.Journal = journal
-	res, err := Run(first)
+	res, err := Run(run)
 	if err != nil {
-		run.Violations = append(run.Violations, fmt.Sprintf("run: %v", err))
-		return run
+		out.Violations = append(out.Violations, fmt.Sprintf("run: %v", err))
+		return out
 	}
-	run.Result = res
+	out.Digest = fmt.Sprintf("%016x", res.Digest)
+	out.Counters = res
 	if !res.Complete {
-		run.Violations = append(run.Violations,
+		out.Violations = append(out.Violations,
 			fmt.Sprintf("incomplete: %d/%d cells landed in %d ticks", res.Landed, res.Cells, res.Stats.Ticks))
 	}
 	if !res.ExactlyOnce {
-		run.Violations = append(run.Violations, "exactly-once violated: a cell landed != 1 times")
+		out.Violations = append(out.Violations, "exactly-once violated: a cell landed != 1 times")
 	}
 	if !res.Reconciled {
-		run.Violations = append(run.Violations, "budget unreconciled: granted != consumed + refunded")
+		out.Violations = append(out.Violations, "budget unreconciled: granted != consumed + refunded")
 	}
-	if journal != nil {
-		if got := journal.Completed(); got != res.Cells {
-			run.Violations = append(run.Violations,
+	if run.Journal != nil {
+		if got := run.Journal.Completed(); got != res.Cells {
+			out.Violations = append(out.Violations,
 				fmt.Sprintf("journal holds %d final records, want %d", got, res.Cells))
 		}
 	}
-
-	// Replay: the second run must produce the identical digest. It runs
-	// without the journal (the journal's dedup state is external input).
-	res2, err := Run(build())
-	if err != nil {
-		run.Violations = append(run.Violations, fmt.Sprintf("replay: %v", err))
-		return run
-	}
-	run.ReplayIdentical = res.Digest == res2.Digest
-	if !run.ReplayIdentical {
-		run.Violations = append(run.Violations,
-			fmt.Sprintf("replay diverged: digest %016x vs %016x", res.Digest, res2.Digest))
-	}
-	return run
+	return out
 }

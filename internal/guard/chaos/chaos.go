@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"cash/internal/cashrt"
 	"cash/internal/cost"
@@ -31,6 +30,7 @@ import (
 	"cash/internal/guard"
 	"cash/internal/par"
 	"cash/internal/slice"
+	"cash/internal/soak"
 	"cash/internal/ssim"
 	"cash/internal/workload"
 )
@@ -76,89 +76,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// SeedResult is one (scenario, seed) run's outcome.
-type SeedResult struct {
-	Scenario string
-	Seed     uint64
-	Quanta   int
-	// Digest fingerprints the run's full sample stream and guard stats;
-	// two runs of the same seed must agree bit for bit.
-	Digest uint64
-	// ReplayIdentical records whether the immediate re-run of this seed
-	// reproduced Digest exactly.
-	ReplayIdentical bool
-	// Violations lists every invariant violated during the run (empty
-	// on a clean run). With guardrails on, any entry fails the soak.
-	Violations []string
-	// Guard is the runtime's guardrail trip counters for the run.
-	Guard guard.Stats
-	// QoSViolations and MaxSampleStreak summarize delivered QoS at the
-	// sample level (informational; pinned-safe-config quanta during
-	// impossible phases still count here).
-	QoSViolations   int
-	MaxSampleStreak int
-	Panicked        bool
-
-	// Server-overload evidence (load-spike scenario only): the same
-	// seed also drives an open-loop serving run through a flash-crowd
-	// arrival stream that oversubscribes the fabric, asserting that the
-	// bounded queue sheds instead of growing and that the tail breaker
-	// sees the overload the per-quantum means miss.
-	ServerShed           int64
-	ServerTimedOut       int64
-	ServerMeanViolations int // quanta violating by mean latency
-	ServerTailViolations int // quanta violating by p99/pending age
-	ServerStarved        int // quanta that completed nothing under load
-	ServerTailTrips      int64
-	ServerMaxQueueDepth  int
-}
-
-// Report is a completed soak.
-type Report struct {
-	Guardrails bool
-	Scenarios  []string
-	Results    []SeedResult
-	// Failures counts runs with at least one invariant violation (or a
-	// panic, or a replay divergence).
-	Failures int
-}
-
-// Passed reports whether the soak met its acceptance criteria: every
-// run clean and every replay identical. Only meaningful with
-// guardrails on; the guard-off baseline is expected to fail.
-func (r Report) Passed() bool { return r.Failures == 0 }
-
-// Summary renders a one-line-per-scenario digest of the soak.
-func (r Report) Summary() string {
-	type agg struct {
-		runs, fails int
-		trips       int64
-	}
-	byScen := map[string]*agg{}
-	for _, res := range r.Results {
-		a := byScen[res.Scenario]
-		if a == nil {
-			a = &agg{}
-			byScen[res.Scenario] = a
-		}
-		a.runs++
-		a.trips += res.Guard.Trips()
-		if len(res.Violations) > 0 || !res.ReplayIdentical {
-			a.fails++
-		}
-	}
-	names := make([]string, 0, len(byScen))
-	for n := range byScen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := fmt.Sprintf("chaos soak: guardrails=%v, %d runs, %d failures\n", r.Guardrails, len(r.Results), r.Failures)
-	for _, n := range names {
-		a := byScen[n]
-		out += fmt.Sprintf("  %-14s %3d seeds, %3d failures, %5d guard trips\n", n, a.runs, a.fails, a.trips)
-	}
-	return out
-}
+// Report is a completed soak; each run's counters are its guardrail
+// trip counters (the load-spike serving sub-run's tail trips
+// included). Passed is only meaningful with guardrails on; the
+// guard-off baseline is expected to fail.
+type Report = soak.Report[guard.Stats]
 
 // scenario couples an adversarial workload with a fault schedule and an
 // optional state-corruption plan.
@@ -173,14 +95,11 @@ type scenario struct {
 	corrupt bool
 }
 
+// Name identifies the scenario in reports and Options.Scenarios.
+func (s scenario) Name() string { return s.name }
+
 // Scenarios returns the names of all built-in scenarios.
-func Scenarios() []string {
-	out := make([]string, len(scenarios))
-	for i, s := range scenarios {
-		out[i] = s.name
-	}
-	return out
-}
+func Scenarios() []string { return soak.Names(scenarios) }
 
 var scenarios = []scenario{
 	{name: "phase-storm", app: phaseStormApp, faultRate: 0.4},
@@ -296,85 +215,43 @@ func rng(seed uint64) func() uint64 {
 }
 
 // Run executes the soak and returns the per-seed report. Each
-// (scenario, seed) pair runs twice and the two digests are compared:
-// any divergence is reported as a replay violation.
+// (scenario, seed) pair runs twice, identically, and the two digests
+// must agree.
 func Run(opts Options) (Report, error) {
 	opts = opts.withDefaults()
-	if opts.Seeds < 0 || opts.Quanta < 0 {
-		return Report{}, fmt.Errorf("chaos: seeds (%d) and quanta (%d) must be non-negative", opts.Seeds, opts.Quanta)
+	if opts.Quanta < 0 {
+		return Report{}, fmt.Errorf("chaos: quanta (%d) must be non-negative", opts.Quanta)
 	}
-	selected := scenarios
-	if len(opts.Scenarios) > 0 {
-		selected = nil
-		for _, want := range opts.Scenarios {
-			found := false
-			for _, s := range scenarios {
-				if s.name == want {
-					selected = append(selected, s)
-					found = true
-				}
+	return soak.Drive(soak.Spec[scenario, guard.Stats]{
+		Name:      "chaos",
+		Title:     fmt.Sprintf("chaos soak: guardrails=%v, ", opts.Guardrails),
+		Scenarios: scenarios,
+		Select:    opts.Scenarios,
+		Seeds:     opts.Seeds,
+		Seed:      func(i int) uint64 { return uint64(i)*0x9e3779b97f4a7c15 + 1 },
+		Pool:      opts.Pool,
+		Run:       opts.runSeed,
+		NameWidth: 14,
+		Columns: func(runs []soak.Run[guard.Stats]) string {
+			var trips int64
+			for _, r := range runs {
+				trips += r.Counters.Trips()
 			}
-			if !found {
-				return Report{}, fmt.Errorf("chaos: unknown scenario %q (have %v)", want, Scenarios())
-			}
-		}
-	}
-	rep := Report{Guardrails: opts.Guardrails}
-	// Flatten the (scenario, seed) grid into independent jobs: runSeed is
-	// deterministic per (scenario, seed) and panic-barriered, so the runs
-	// can execute in any order. Each job writes its outcome into its own
-	// slot and the report is assembled serially in canonical grid order —
-	// the output is byte-identical to the sequential loop.
-	type job struct {
-		s    scenario
-		seed uint64
-	}
-	jobs := make([]job, 0, len(selected)*opts.Seeds)
-	for _, s := range selected {
-		rep.Scenarios = append(rep.Scenarios, s.name)
-		for i := 0; i < opts.Seeds; i++ {
-			jobs = append(jobs, job{s: s, seed: uint64(i)*0x9e3779b97f4a7c15 + 1})
-		}
-	}
-	results := make([]SeedResult, len(jobs))
-	par.Resolve(opts.Pool).ForEach(len(jobs), func(i int) {
-		j := jobs[i]
-		first := runSeed(j.s, j.seed, opts)
-		second := runSeed(j.s, j.seed, opts)
-		first.ReplayIdentical = first.Digest == second.Digest &&
-			first.Panicked == second.Panicked
-		if !first.ReplayIdentical {
-			first.Violations = append(first.Violations,
-				fmt.Sprintf("replay diverged: digest %016x vs %016x", first.Digest, second.Digest))
-		}
-		results[i] = first
+			return fmt.Sprintf(", %5d guard trips", trips)
+		},
 	})
-	for _, res := range results {
-		if len(res.Violations) > 0 {
-			rep.Failures++
-		}
-	}
-	rep.Results = results
-	return rep, nil
 }
 
-// runSeed executes one (scenario, seed) run under a panic barrier.
-func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
-	res = SeedResult{Scenario: s.name, Seed: seed, ReplayIdentical: true}
-	defer func() {
-		if p := recover(); p != nil {
-			res.Panicked = true
-			res.Violations = append(res.Violations, fmt.Sprintf("panic: %v", p))
-		}
-	}()
-
+// runSeed executes one (scenario, seed) run. Its replay is the same
+// run again.
+func (opts Options) runSeed(s scenario, seed uint64, _ bool) (out soak.Outcome[guard.Stats]) {
 	rt, err := cashrt.New(opts.Target, cost.Default(), cashrt.Options{
 		Seed:       seed,
 		Guardrails: opts.Guardrails,
 	})
 	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("constructing runtime: %v", err))
-		return res
+		out.Violations = append(out.Violations, fmt.Sprintf("constructing runtime: %v", err))
+		return out
 	}
 
 	sch, err := fault.Generate(fault.Spec{
@@ -384,8 +261,8 @@ func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
 		Seed: seed ^ 0xc6a4a7935bd1e995,
 	})
 	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("generating faults: %v", err))
-		return res
+		out.Violations = append(out.Violations, fmt.Sprintf("generating faults: %v", err))
+		return out
 	}
 
 	// Corruption plan: three deterministic strikes spread over the run,
@@ -394,7 +271,7 @@ func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
 	if s.corrupt {
 		r := rng(seed ^ 0xff51afd7ed558ccd)
 		for k := 0; k < 3; k++ {
-			q := 10 + int(r()%uint64(maxInt(opts.Quanta-20, 1)))
+			q := 10 + int(r()%uint64(max(opts.Quanta-20, 1)))
 			corruptAt[q] = k
 		}
 	}
@@ -434,24 +311,11 @@ func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
 		Sims:      simPool,
 	})
 	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("run failed: %v", err))
-		return res
+		out.Violations = append(out.Violations, fmt.Sprintf("run failed: %v", err))
+		return out
 	}
 
-	res.Quanta = len(result.Samples)
-	res.Guard = result.Guard
-	streak := 0
-	for _, sm := range result.Samples {
-		if sm.Violated {
-			res.QoSViolations++
-			streak++
-			if streak > res.MaxSampleStreak {
-				res.MaxSampleStreak = streak
-			}
-		} else {
-			streak = 0
-		}
-	}
+	out.Counters = result.Guard
 
 	// Cap the recorded state violations (a guard-off corruption run
 	// fails every remaining quantum; one line per quantum adds nothing).
@@ -459,20 +323,20 @@ func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
 		invariantErrs = append(invariantErrs[:3],
 			fmt.Sprintf("... and %d more", len(invariantErrs)-3))
 	}
-	res.Violations = append(res.Violations, invariantErrs...)
+	out.Violations = append(out.Violations, invariantErrs...)
 
 	// Bounded-streak invariant: while optimization is active the
 	// breaker trips at K consecutive violating epochs, so the recorded
 	// maximum streak must never exceed the configured threshold.
 	if opts.Guardrails {
 		if limit := int64(guard.New(guard.Config{}).Config().BreakerK); result.Guard.MaxViolationStreak > limit {
-			res.Violations = append(res.Violations, fmt.Sprintf(
+			out.Violations = append(out.Violations, fmt.Sprintf(
 				"unpinned QoS-violation streak %d exceeds breaker threshold %d",
 				result.Guard.MaxViolationStreak, limit))
 		}
 	}
 
-	res.Digest = digest(result)
+	d := digest(result)
 
 	// The load-spike scenario also soaks the serving path: an open-loop
 	// flash-crowd stream that oversubscribes the fabric by construction.
@@ -481,9 +345,10 @@ func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
 	// overload — the per-quantum mean signal largely cannot, because a
 	// saturated quantum completes few or no requests.
 	if s.name == "load-spike" {
-		serverOverload(&res, seed, opts)
+		d ^= serverOverload(&out, seed, opts)
 	}
-	return res
+	out.Digest = fmt.Sprintf("%016x", d)
+	return out
 }
 
 // serverQueueCap bounds the overload sub-run's pending queue; small
@@ -491,8 +356,9 @@ func runSeed(s scenario, seed uint64, opts Options) (res SeedResult) {
 const serverQueueCap = 64
 
 // serverOverload drives one guarded serving run through sustained
-// overload and folds its outcome into the seed's result and digest.
-func serverOverload(res *SeedResult, seed uint64, opts Options) {
+// overload, folds its violations and tail trips into out and returns
+// its digest (0 when the sub-run could not run).
+func serverOverload(out *soak.Outcome[guard.Stats], seed uint64, opts Options) uint64 {
 	rt, err := cashrt.New(1.0, cost.Default(), cashrt.Options{
 		Seed:         seed | 1,
 		SingleConfig: true,
@@ -501,8 +367,8 @@ func serverOverload(res *SeedResult, seed uint64, opts Options) {
 		Guardrails:   opts.Guardrails,
 	})
 	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("constructing server runtime: %v", err))
-		return
+		out.Violations = append(out.Violations, fmt.Sprintf("constructing server runtime: %v", err))
+		return 0
 	}
 	// Demand: 40 req/Mcycle × 60K instrs ≈ IPC 2.4 sustained before the
 	// 7× flash crowds land — beyond what the fabric delivers, so the
@@ -526,33 +392,26 @@ func serverOverload(res *SeedResult, seed uint64, opts Options) {
 		Shed:     experiment.ShedDeadline,
 	})
 	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("server overload run failed: %v", err))
-		return
+		out.Violations = append(out.Violations, fmt.Sprintf("server overload run failed: %v", err))
+		return 0
 	}
-	res.ServerShed = sres.Shed
-	res.ServerTimedOut = sres.TimedOut
-	res.ServerMeanViolations = sres.Violations
-	res.ServerTailViolations = sres.TailViolations
-	res.ServerStarved = sres.StarvedSamples
-	res.ServerTailTrips = sres.Guard.TailTrips
-	res.ServerMaxQueueDepth = sres.MaxQueueDepth
-	res.Guard.TailTrips += sres.Guard.TailTrips
-	res.Guard.TailRecoveries += sres.Guard.TailRecoveries
-	res.Guard.TailPinnedEpochs += sres.Guard.TailPinnedEpochs
+	out.Counters.TailTrips += sres.Guard.TailTrips
+	out.Counters.TailRecoveries += sres.Guard.TailRecoveries
+	out.Counters.TailPinnedEpochs += sres.Guard.TailPinnedEpochs
 
 	if sres.MaxQueueDepth > serverQueueCap {
-		res.Violations = append(res.Violations, fmt.Sprintf(
+		out.Violations = append(out.Violations, fmt.Sprintf(
 			"server queue depth %d exceeded cap %d", sres.MaxQueueDepth, serverQueueCap))
 	}
 	if sres.Shed == 0 {
-		res.Violations = append(res.Violations,
+		out.Violations = append(out.Violations,
 			"overload run shed nothing: the arrival stream no longer oversubscribes the fabric")
 	}
 	if opts.Guardrails && sres.Guard.TailTrips == 0 {
-		res.Violations = append(res.Violations,
+		out.Violations = append(out.Violations,
 			"tail breaker never tripped under sustained overload")
 	}
-	res.Digest = res.Digest ^ serverDigest(sres)
+	return serverDigest(sres)
 }
 
 // serverDigest fingerprints a serving run the way digest fingerprints a
@@ -586,11 +445,4 @@ func digest(r experiment.Result) uint64 {
 	w(fmt.Sprintf("%+v|%+v|%d|%d|%x\n", r.Guard, r.FaultStats, r.TotalCycles, r.TotalInstrs,
 		math.Float64bits(r.TotalCost)))
 	return h.Sum64()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -14,6 +14,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"cash/internal/backoff"
 )
 
 // FailureKind classifies why a unit failed.
@@ -245,26 +247,12 @@ func (s *Supervisor) attempt(u Unit) (any, *FailureRecord) {
 // retry number attempt (1-based: the delay after the attempt'th
 // failure).
 func (s *Supervisor) backoff(key string, attempt int) time.Duration {
-	d := s.o.BackoffBase
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= s.o.BackoffCap {
-			d = s.o.BackoffCap
-			break
-		}
-	}
-	if d > s.o.BackoffCap {
-		d = s.o.BackoffCap
-	}
+	d := backoff.Exp(s.o.BackoffBase, s.o.BackoffCap, attempt)
 	// ±50% jitter from a stable hash of (seed, key, attempt).
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%d", s.o.Seed, key, attempt)
 	frac := 0.5 + float64(h.Sum64()%1024)/1024.0
-	j := time.Duration(float64(d) * frac)
-	if j > s.o.BackoffCap {
-		j = s.o.BackoffCap
-	}
-	return j
+	return min(time.Duration(float64(d)*frac), s.o.BackoffCap)
 }
 
 // journal records an entry, ignoring journal write errors: losing a

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cash/internal/backoff"
 )
 
 func TestRunOrderAndValues(t *testing.T) {
@@ -196,11 +198,16 @@ func TestRetriesExhaust(t *testing.T) {
 	}
 }
 
+// TestBackoffCapped: the ±50% jitter stays within half the nominal
+// delay either side and never passes the cap (the nominal schedule
+// itself is backoff.Exp's, pinned by its own table test).
 func TestBackoffCapped(t *testing.T) {
-	s := New(Options{BackoffBase: time.Second, BackoffCap: 4 * time.Second})
+	const base, limit = time.Second, 4 * time.Second
+	s := New(Options{BackoffBase: base, BackoffCap: limit})
 	for attempt := 1; attempt <= 10; attempt++ {
-		if d := s.backoff("k", attempt); d > 4*time.Second {
-			t.Errorf("backoff attempt %d = %v exceeds cap", attempt, d)
+		nominal := backoff.Exp(base, limit, attempt)
+		if d := s.backoff("k", attempt); d < nominal/2 || d > min(nominal*3/2, limit) {
+			t.Errorf("backoff attempt %d = %v outside [%v, %v]", attempt, d, nominal/2, min(nominal*3/2, limit))
 		}
 	}
 }
